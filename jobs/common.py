@@ -9,7 +9,13 @@ from __future__ import annotations
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+_SRC = os.path.join(_ROOT, "src")
+# The repo root holds conftest.py; src/ holds the package. Spark's Python
+# workers are separate processes and find the package through PYTHONPATH,
+# which they inherit from this process via the JVM.
+sys.path[:0] = [_ROOT, _SRC]
+os.environ["PYTHONPATH"] = os.pathsep.join([_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
 os.environ.setdefault("SPARK_DRIVER_MEM", "8g")
 import conftest  # noqa: F401  — sets PYSPARK_SUBMIT_ARGS before the JVM launches
 

@@ -46,11 +46,11 @@ def apply_preferences(
     work = _work_list(rg)
     if len(work) == 0:
         return 0
-    bundle = spark.sparkContext.broadcast(net.to_bundle())
+    bc = spark.sparkContext.broadcast(net)
     peak_flag = bool(peak)
 
     def gen(batches):
-        net_w = RoadNetwork.from_bundle(bundle.value)
+        net_w = bc.value
         weights = {c: net_w.weights(c, peak=peak_flag) for c in COSTS}
         for pdf in batches:
             out = {"ra": [], "rb": [], "path": []}

@@ -2,16 +2,18 @@
 
 The paper's road network carries four weight functions — distance (DI),
 travel time (TT), fuel consumption (FC) and road type (RT). We store an
-undirected graph as flat numpy arrays plus a CSR adjacency so that
-single-source searches run fast in plain Python workers, and the whole
-structure pickles cheaply for ``SparkContext.broadcast``.
+undirected graph as flat numpy arrays plus a CSR adjacency, and the whole
+structure pickles cheaply for ``SparkContext.broadcast``. The lookups that
+searches and path scoring need — adjacency lists per Alg. 2 slave gate
+and an edge-id map — are built lazily on each copy and never pickled.
 
 Road types follow the six OpenStreetMap classes the paper uses
 (Sec. VII-A): motorway, trunk, primary, secondary, tertiary, residential.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -54,6 +56,10 @@ class RoadNetwork:
     rt : (m,) int8 — road-type code, index into ``ROAD_TYPES``.
     indptr, nbr, nbr_edge : CSR adjacency; ``nbr[indptr[v]:indptr[v+1]]``
         are v's neighbours and ``nbr_edge`` the corresponding edge ids.
+
+    Derived lookups (``edge_id``, the ``adjacency`` cache) are cached
+    properties: not dataclass fields, so not compared, and left out of
+    pickles by ``__getstate__``.
     """
 
     xy: np.ndarray
@@ -131,22 +137,71 @@ class RoadNetwork:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.nbr[lo:hi], self.nbr_edge[lo:hi]
 
+    @cached_property
+    def edge_id(self) -> dict[tuple[int, int], int]:
+        """(u, v) → id of the edge joining them, both directions.
+
+        Between parallel edges the first in CSR order wins.
+        """
+        out: dict[tuple[int, int], int] = {}
+        ind, nbr, eid = self.indptr.tolist(), self.nbr.tolist(), self.nbr_edge.tolist()
+        for u in range(self.n_vertices):
+            for k in range(ind[u], ind[u + 1]):
+                out.setdefault((u, nbr[k]), eid[k])
+        return out
+
+    def edge_ids(self, path: list[int]) -> list[int]:
+        """Edge ids traversed by a vertex path; ValueError on a non-adjacent pair."""
+        eid = self.edge_id
+        try:
+            return [eid[ab] for ab in zip(path, path[1:])]
+        except KeyError as err:
+            a, b = err.args[0]
+            raise ValueError(f"no edge between {a} and {b}") from None
+
     def path_edges(self, path: list[int]) -> np.ndarray:
-        """Edge ids traversed by a vertex path (adjacent-pair lookup)."""
-        out = []
-        for a, b in zip(path, path[1:]):
-            nb, ne = self.neighbors(a)
-            hit = ne[nb == b]
-            if len(hit) == 0:
-                raise ValueError(f"no edge between {a} and {b}")
-            out.append(hit[0])
-        return np.asarray(out, dtype=np.int64)
+        """Edge ids traversed by a vertex path, as an index array."""
+        return np.asarray(self.edge_ids(path), dtype=np.int64)
 
     def path_length(self, path: list[int]) -> float:
         """Total length (metres) of a vertex path."""
         if len(path) < 2:
             return 0.0
         return float(self.dist[self.path_edges(path)].sum())
+
+    # -- search adjacency ---------------------------------------------------
+    @cached_property
+    def _adjacency_cache(self) -> dict[int | None, list[list[tuple[int, int]]]]:
+        return {}
+
+    def adjacency(self, gate_rt: int | None = None) -> list[list[tuple[int, int]]]:
+        """``adj[u]`` = [(neighbour, id of the joining edge), …] in CSR order.
+
+        With ``gate_rt``, a vertex that has an incident edge of road type
+        ``gate_rt`` keeps only those edges (the slave gate of the paper's
+        Alg. 2, lines 8–11); other vertices keep all of theirs. Built once
+        per gate and cached. Weights are not baked in: routers such as TRIP
+        derive a new weight array per query, and one list per array would
+        cost a build each.
+        """
+        cache = self._adjacency_cache
+        if gate_rt not in cache:
+            keep = np.ones(len(self.nbr), dtype=bool)
+            counts = np.diff(self.indptr)
+            if gate_rt is not None:
+                row = np.repeat(np.arange(self.n_vertices), counts)  # CSR entry → vertex
+                sat = self.rt[self.nbr_edge] == gate_rt
+                gated = np.zeros(self.n_vertices, dtype=bool)
+                gated[row[sat]] = True
+                keep = sat | ~gated[row]
+                counts = np.bincount(row[keep], minlength=self.n_vertices)
+            pairs = list(zip(self.nbr[keep].tolist(), self.nbr_edge[keep].tolist()))
+            ind = np.concatenate([[0], np.cumsum(counts)]).tolist()
+            cache[gate_rt] = [pairs[lo:hi] for lo, hi in zip(ind, ind[1:])]
+        return cache[gate_rt]
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # -- Spark interop ----------------------------------------------------
     def vertices_df(self, spark: SparkSession) -> DataFrame:

@@ -1,32 +1,88 @@
-"""Single-source shortest-path engines.
+"""Single-source shortest-path search: one Dijkstra kernel.
 
-``dijkstra`` is the classical algorithm used for the Shortest / Fastest
-baselines and for the lowest-cost paths in preference learning (Sec. V-A).
-``preference_dijkstra`` is the paper's Algorithm 2 (*Applying Preferences
-Modified Dijkstra*): the master dimension selects the edge-weight function
-and the slave dimension gates edge expansion — if at least one incident
-edge satisfies the slave road type, only those edges are explored,
-otherwise all are.
+``search`` runs Dijkstra over the per-vertex (neighbour, edge id) lists of
+:meth:`repro.roadnet.model.RoadNetwork.adjacency` and a list of edge
+weights. For a ⟨master, slave⟩ preference the lists already apply the
+slave gate of the paper's Algorithm 2 (*Applying Preferences Modified
+Dijkstra*): if at least one edge incident to a vertex has the slave road
+type, only those edges are explored from it, otherwise all are. The gate
+is applied once, when a list is built, not at every settled vertex.
 
-Both terminate early when the destination is settled; both operate on the
-CSR arrays of :class:`repro.roadnet.model.RoadNetwork`, so they run inside
-Spark workers on a broadcast bundle with no JVM round-trips.
+The kernel stops once every target is settled, or grows the full
+shortest-path tree when given none. A settled vertex's parent never
+changes afterwards, so the path read from a full tree equals the path of
+the early-terminated search; Step 1 (``core/preference.py``) relies on
+this to answer every ground-truth path of a source from shared trees.
+
+``dijkstra`` (plain lowest-cost search, used by the baselines, the
+routers and Step 1) and ``preference_dijkstra`` (Alg. 2, with the
+master-only fallback) are thin wrappers over it.
 """
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 
 import numpy as np
 
 from .model import RoadNetwork
 
+_INF = float("inf")
 
-def _reconstruct(parent: dict[int, int], dst: int) -> list[int]:
+
+def search(
+    adj: list[list[tuple[int, int]]], w: list[float], src: int, targets: Iterable[int] = ()
+) -> tuple[dict[int, float], dict[int, int]]:
+    """Dijkstra from ``src`` over ``adj`` with edge weights ``w`` (a list:
+    indexing a numpy array per edge is several times slower).
+
+    Stops once every vertex in ``targets`` is settled; with no targets it
+    settles everything reachable. Returns ``(cost, parent)``: ``cost`` maps
+    each settled vertex to its final cost, and ``parent`` holds the tree
+    pointers (``-1`` at ``src``), final for every settled vertex.
+    """
+    left = set(targets)
+    cost: dict[int, float] = {}
+    best = {src: 0.0}
+    parent = {src: -1}
+    pq = [(0.0, src)]
+    pop, push = heapq.heappop, heapq.heappush
+    while pq:
+        d, u = pop(pq)
+        if u in cost:
+            continue
+        cost[u] = d
+        if u in left:
+            left.discard(u)
+            if not left:
+                break
+        for x, e in adj[u]:
+            if x in cost:
+                continue
+            nd = d + w[e]
+            if nd < best.get(x, _INF):
+                best[x] = nd
+                parent[x] = u
+                push(pq, (nd, x))
+    return cost, parent
+
+
+def tree_path(parent: dict[int, int], dst: int) -> list[int]:
+    """Vertex path from the tree's source to a settled ``dst``."""
     path = [dst]
     while parent[path[-1]] != -1:
         path.append(parent[path[-1]])
     path.reverse()
     return path
+
+
+def _weights(w: np.ndarray) -> list[float]:
+    return np.asarray(w, dtype=np.float64).tolist()
+
+
+def _answer(tree: tuple[dict[int, float], dict[int, int]], dst: int) -> tuple[list[int], float] | None:
+    cost, parent = tree
+    return (tree_path(parent, dst), cost[dst]) if dst in cost else None
 
 
 def dijkstra(
@@ -36,32 +92,7 @@ def dijkstra(
 
     Returns ``(vertex path, cost)`` or ``None`` if unreachable.
     """
-    if src == dst:
-        return [src], 0.0
-    INF = np.inf
-    dist = {src: 0.0}
-    parent = {src: -1}
-    done = set()
-    pq: list[tuple[float, int]] = [(0.0, src)]
-    indptr, nbr, nbr_edge = net.indptr, net.nbr, net.nbr_edge
-    while pq:
-        d, u = heapq.heappop(pq)
-        if u in done:
-            continue
-        if u == dst:
-            return _reconstruct(parent, dst), d
-        done.add(u)
-        lo, hi = indptr[u], indptr[u + 1]
-        for x, e in zip(nbr[lo:hi], nbr_edge[lo:hi]):
-            x = int(x)
-            if x in done:
-                continue
-            nd = d + w[e]
-            if nd < dist.get(x, INF):
-                dist[x] = nd
-                parent[x] = u
-                heapq.heappush(pq, (nd, x))
-    return None
+    return _answer(search(net.adjacency(), _weights(w), src, (dst,)), dst)
 
 
 def preference_dijkstra(
@@ -87,40 +118,10 @@ def preference_dijkstra(
     settling the destination we fall back to plain Dijkstra on the master
     weights (the same fallback the paper applies to null preferences).
     """
-    if slave_rt is None:
+    res = _answer(search(net.adjacency(slave_rt), _weights(master_w), src, (dst,)), dst)
+    if res is None and slave_rt is not None:
         return dijkstra(net, src, dst, master_w)
-    if src == dst:
-        return [src], 0.0
-    INF = np.inf
-    dist = {src: 0.0}
-    parent = {src: -1}
-    done = set()
-    pq: list[tuple[float, int]] = [(0.0, src)]
-    indptr, nbr, nbr_edge, rt = net.indptr, net.nbr, net.nbr_edge, net.rt
-    while pq:
-        d, u = heapq.heappop(pq)
-        if u in done:
-            continue
-        if u == dst:
-            return _reconstruct(parent, dst), d
-        done.add(u)
-        lo, hi = indptr[u], indptr[u + 1]
-        edges = nbr_edge[lo:hi]
-        sat = rt[edges] == slave_rt  # lines 8-9: does any edge satisfy V.slave?
-        none_sat = not bool(sat.any())
-        for x, e, s in zip(nbr[lo:hi], edges, sat):
-            if not (s or none_sat):  # line 11
-                continue
-            x = int(x)
-            if x in done:
-                continue
-            nd = d + master_w[e]
-            if nd < dist.get(x, INF):
-                dist[x] = nd
-                parent[x] = u
-                heapq.heappush(pq, (nd, x))
-    # Gated search trapped before reaching dst: master-only fallback.
-    return dijkstra(net, src, dst, master_w)
+    return res
 
 
 def multi_source_reach(

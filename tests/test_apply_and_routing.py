@@ -137,3 +137,17 @@ def test_l2r_beats_fastest_on_training_pairs(city, arts, spark):
         sims_l2r.append(psim(city.net, t.path, arts.router.route(s, d)))
         sims_fast.append(psim(city.net, t.path, fastest.route(s, d, peak=t.peak)))
     assert np.mean(sims_l2r) > np.mean(sims_fast) - 0.02
+
+
+def test_routing_leaves_pickle_size_unchanged(city, arts):
+    """The search lookups built while routing stay out of the pickles that
+    Spark broadcasts (RoadNetwork.__getstate__)."""
+    import pickle
+
+    router = pickle.loads(pickle.dumps(arts.router))  # a copy with no lookups built
+    before = len(pickle.dumps(router.net)), len(pickle.dumps(router))
+    g = np.random.default_rng(50)
+    for s, d in g.integers(0, city.net.n_vertices, size=(50, 2)):
+        router.route(int(s), int(d))
+    assert router.net.__dict__.get("_adjacency_cache")  # the routes did build lookups
+    assert (len(pickle.dumps(router.net)), len(pickle.dumps(router))) == before

@@ -156,8 +156,12 @@ def test_preference_scores_reasonable(built):
 def test_t_edge_paths_df_schema(spark, built):
     _, rg, _ = built
     df = t_edge_paths_df(spark, rg)
-    assert set(df.columns) == {"ra", "rb", "path", "cnt"}
+    assert set(df.columns) == {"src", "ra", "rb", "idx", "path", "cnt"}
     assert df.count() == sum(len(e.paths) for e in rg.edges.values() if e.kind == "T")
+    # src is each path's first vertex; idx its position in the T-edge payload.
+    for r in df.toPandas().itertuples(index=False):
+        p, c = rg.edges[(r.ra, r.rb)].paths[r.idx]
+        assert r.src == p[0] and list(r.path) == p and r.cnt == c
 
 
 def test_preference_distribution_table(built):

@@ -138,3 +138,55 @@ def test_spark_dfs(city, spark):
     assert v.count() == city.net.n_vertices
     assert e.count() == city.net.n_edges
     assert set(e.columns) == {"eid", "u", "v", "dist", "rt", "tt", "fc"}
+
+
+def _path_edges_scan(net, path):
+    """The CSR neighbour scan ``path_edges`` replaced: the reference."""
+    out = []
+    for a, b in zip(path, path[1:]):
+        nb, ne = net.neighbors(a)
+        hit = ne[nb == b]
+        if len(hit) == 0:
+            raise ValueError(f"no edge between {a} and {b}")
+        out.append(hit[0])
+    return np.asarray(out, dtype=np.int64)
+
+
+def test_path_edges_matches_csr_scan(city):
+    net = city.net
+    g = np.random.default_rng(0)
+    for _ in range(50):  # random walks
+        path = [int(g.integers(net.n_vertices))]
+        for _ in range(int(g.integers(0, 30))):
+            path.append(int(g.choice(net.neighbors(path[-1])[0])))
+        assert np.array_equal(net.path_edges(path), _path_edges_scan(net, path))
+
+
+def test_path_edges_parallel_edges_keep_first_in_csr_order():
+    xy = np.array([[0.0, 0], [1, 0], [2, 0]])
+    # Edges 0 and 2 both join vertices 0 and 1.
+    net = RoadNetwork.from_edges(xy, [0, 1, 1], [1, 2, 0], [5.0, 1.0, 2.0], [5, 5, 5])
+    for path in ([0, 1], [1, 0], [0, 1, 2], [2, 1, 0]):
+        assert np.array_equal(net.path_edges(path), _path_edges_scan(net, path))
+
+
+def test_adjacency_gate():
+    xy = np.zeros((4, 2))
+    # Vertex 0 has a road-type-2 edge (0, to 1) and two type-5 edges (1, 2).
+    net = RoadNetwork.from_edges(xy, [0, 0, 0, 1], [1, 2, 3, 2], [1.0, 2.0, 3.0, 4.0], [2, 5, 5, 5])
+    assert sorted(net.adjacency()[0]) == [(1, 0), (2, 1), (3, 2)]
+    assert net.adjacency(2)[0] == [(1, 0)]
+    assert net.adjacency(2)[1] == [(0, 0)]
+    assert sorted(net.adjacency(2)[2]) == [(0, 1), (1, 3)]  # no type-2 edge: all kept
+    assert net.adjacency(5)[0] == [(2, 1), (3, 2)]
+
+
+def test_derived_lookups_are_not_pickled(city):
+    import pickle
+
+    net = RoadNetwork.from_bundle(city.net.to_bundle())
+    before = pickle.dumps(net)
+    net.path_edges([0, int(net.neighbors(0)[0][0])])
+    net.adjacency(2)
+    assert pickle.dumps(net) == before
+    assert np.array_equal(pickle.loads(before).dist, net.dist)

@@ -124,3 +124,104 @@ def test_multi_source_reach_stops_at_flags(city):
         stop2[int(x)] = True
     reached2 = multi_source_reach(net, [0], stop2)
     assert reached2 == {int(x) for x in nbrs}
+
+
+# -- oracles: networkx on generated graphs, and the shared-tree property -----
+import networkx as nx  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.roadnet.shortest_path import search, tree_path  # noqa: E402
+
+
+@st.composite
+def graphs(draw):
+    """A random simple undirected network: weights in [1, 10), road types 0–5."""
+    n = draw(st.integers(2, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * n, unique=True))
+    w = draw(st.lists(st.floats(1.0, 10.0), min_size=len(chosen), max_size=len(chosen)))
+    rt = draw(st.lists(st.integers(0, 5), min_size=len(chosen), max_size=len(chosen)))
+    xy = np.zeros((n, 2))
+    eu, ev = zip(*chosen)
+    net = RoadNetwork.from_edges(xy, list(eu), list(ev), w, rt)
+    return net, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+def _nx_graph(net: RoadNetwork, w: np.ndarray) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(net.n_vertices))
+    for e, (a, b) in enumerate(zip(net.eu, net.ev)):
+        g.add_edge(int(a), int(b), weight=float(w[e]))
+    return g
+
+
+def _nx_gated(net: RoadNetwork, w: np.ndarray, slave_rt: int) -> nx.DiGraph:
+    """Alg. 2's gate as a directed graph: a vertex with an incident edge of
+    type ``slave_rt`` has arcs along those edges only."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(net.n_vertices))
+    for u in range(net.n_vertices):
+        nbrs, eids = net.neighbors(u)
+        sat = net.rt[eids] == slave_rt
+        for x, e, s in zip(nbrs, eids, sat):
+            if s or not sat.any():
+                g.add_edge(u, int(x), weight=float(w[e]))
+    return g
+
+
+def _cost(net: RoadNetwork, path: list[int], w: np.ndarray) -> float:
+    return float(w[net.path_edges(path)].sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs())
+def test_dijkstra_cost_equals_networkx(case):
+    net, s, d = case
+    res = dijkstra(net, s, d, net.dist)
+    g = _nx_graph(net, net.dist)
+    if not nx.has_path(g, s, d):
+        assert res is None
+        return
+    path, cost = res
+    assert path[0] == s and path[-1] == d
+    assert cost == pytest.approx(nx.dijkstra_path_length(g, s, d))
+    assert _cost(net, path, net.dist) == pytest.approx(cost)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(), st.integers(0, 5))
+def test_preference_dijkstra_equals_networkx_on_gated_graph(case, slave_rt):
+    net, s, d = case
+    w = net.dist
+    res = preference_dijkstra(net, s, d, w, slave_rt)
+    gated = _nx_gated(net, w, slave_rt)
+    if nx.has_path(gated, s, d):
+        path, cost = res
+        assert cost == pytest.approx(nx.dijkstra_path_length(gated, s, d))
+        assert all(gated.has_edge(a, b) for a, b in zip(path, path[1:]))
+    else:  # trapped by the gate: the master-only fallback
+        assert res == dijkstra(net, s, d, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(), st.one_of(st.none(), st.integers(0, 5)))
+def test_full_tree_paths_equal_early_terminated_search(case, slave_rt):
+    """Step 1 reads every destination's path from one tree per source."""
+    net, s, _ = case
+    w = net.dist
+    cost, parent = search(net.adjacency(slave_rt), w.tolist(), s)
+    for d in range(net.n_vertices):
+        early = search(net.adjacency(slave_rt), w.tolist(), s, (d,))[0]
+        assert (d in cost) == (d in early)
+        if d in cost:
+            assert cost[d] == early[d]
+            assert tree_path(parent, d) == preference_dijkstra(net, s, d, w, slave_rt)[0]
+
+
+def test_kernel_matches_networkx_on_city(city):
+    g = _nx_graph(city.net, city.net.travel_time())
+    lengths = nx.single_source_dijkstra_path_length(g, 0)
+    cost, _ = search(city.net.adjacency(), city.net.travel_time().tolist(), 0)
+    assert cost.keys() == lengths.keys()
+    assert all(cost[v] == pytest.approx(lengths[v]) for v in lengths)
