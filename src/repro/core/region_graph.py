@@ -201,10 +201,16 @@ def build_region_graph(
             inner.setdefault(ra, []).append((path, cnt))
         else:
             centers.setdefault(ra, set()).add(path[0])
+    # One total order, (−count, length, path), whatever order the Spark
+    # aggregation returned the rows in: the per-edge cap cuts this list, and
+    # routing breaks popularity ties by position.
+    def ranked(paths: list[tuple[list[int], int]]) -> list[tuple[list[int], int]]:
+        return sorted(paths, key=lambda pc: (-pc[1], len(pc[0]), pc[0]))
+
     # Keep the most-traversed paths per T-edge (bounded payload).
     for e in edges.values():
-        e.paths.sort(key=lambda pc: (-pc[1], len(pc[0])))
-        e.paths = e.paths[:max_paths_per_edge]
+        e.paths = ranked(e.paths)[:max_paths_per_edge]
+    inner = {r: ranked(ps) for r, ps in inner.items()}
 
     centroids = np.stack([net.xy[r.vertices].mean(axis=0) for r in regions])
     top_types = [region_top_types(net, r.vertices, k=top_k_types) for r in regions]

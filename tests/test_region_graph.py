@@ -139,6 +139,31 @@ def test_inner_paths_stay_inside_region(built):
     assert checked > 0
 
 
+def test_region_graph_independent_of_shuffle_partitions(city, built, spark):
+    """Payloads and inner paths come back in one total order, (−count,
+    length, path), whatever the Spark partitioning: the first-listed path
+    wins popularity ties when routing, and the per-edge cap cuts the list."""
+    trajs, regions, _ = built
+    traj_df = trajectories_df(spark, trajs)
+
+    def state(rg):
+        return (
+            [(k, e.kind, e.paths) for k, e in sorted(rg.edges.items())],
+            sorted(rg.inner_paths.items()),
+            rg.transfer_centers,
+        )
+
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    states = []
+    try:
+        for n in (1, 3, 64):
+            spark.conf.set("spark.sql.shuffle.partitions", str(n))
+            states.append(state(build_region_graph(spark, city.net, regions, traj_df)))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", old)
+    assert states[0] == states[1] == states[2]
+
+
 def test_top_types_valid(city, built):
     _, _, rg = built
     for tps in rg.top_types:
