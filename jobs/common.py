@@ -15,7 +15,7 @@ _SRC = os.path.join(_ROOT, "src")
 # workers are separate processes and find the package through PYTHONPATH,
 # which they inherit from this process via the JVM.
 sys.path[:0] = [_ROOT, _SRC]
-os.environ["PYTHONPATH"] = os.pathsep.join([_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 os.environ.setdefault("SPARK_DRIVER_MEM", "8g")
 import conftest  # noqa: F401  — sets PYSPARK_SUBMIT_ARGS before the JVM launches
 

@@ -152,7 +152,7 @@ def learn_t_edge_preferences(
     ``rg.edges``.
     """
     # The network object itself is broadcast: a reused Python worker keeps
-    # it, and with it the adjacency lists built for the first source.
+    # it, and with it the adjacency lists and edge-id map it has built.
     bc = spark.sparkContext.broadcast(net)
     peak_flag = bool(peak)
 
