@@ -60,15 +60,6 @@ class RegionGraph:
     def n_regions(self) -> int:
         return len(self.region_vertices)
 
-    def neighbors(self, r: int) -> list[int]:
-        out = []
-        for (a, b) in self.edges:
-            if a == r:
-                out.append(b)
-            elif b == r:
-                out.append(a)
-        return out
-
     def edge(self, a: int, b: int) -> RegionEdge | None:
         return self.edges.get((min(a, b), max(a, b)))
 

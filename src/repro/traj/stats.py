@@ -10,10 +10,9 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 
-# Bucket edges (km). Our synthetic city is Chengdu-scale, so the D2 buckets
-# are the primary reproduction target; the D1 buckets apply to larger spans.
+# Bucket edges (km): the paper's D2 (Chengdu) buckets, as our synthetic city
+# is Chengdu-scale.
 D2_BUCKETS = [0.0, 2.0, 5.0, 10.0, 35.0]
-D1_BUCKETS = [0.0, 10.0, 50.0, 100.0, 500.0]
 
 
 def bucket_expr(col: str, edges: list[float]):

@@ -3,12 +3,15 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import transfer
 from repro.core.clustering import bottom_up_clustering
 from repro.core.popularity import edge_popularity_array
 from repro.core.preference import learn_t_edge_preferences
 from repro.core.region_graph import build_region_graph
 from repro.core.transfer import (
     AMR_DEFAULT,
+    MU1_DEFAULT,
+    MU2_DEFAULT,
     P_FEATURES,
     _conjugate_gradient,
     _decode,
@@ -166,3 +169,49 @@ def test_transfer_cv_experiment(spark, built):
     # More labeled partitions must not hurt accuracy much (paper Fig. 9a
     # shows monotone improvement; allow sampling noise).
     assert parts.accuracy.iloc[-1] >= parts.accuracy.iloc[0] - 0.1
+
+
+def test_eq3_solution_solves_the_linear_system(spark, built, monkeypatch):
+    """run_transfer's Ŷ satisfies (S + μ1·L + μ2·I)·Ŷ = S·Y (Eq. 3).
+
+    The system is rebuilt here from the Spark similarity pairs and checked
+    against ``np.linalg.solve``, which is affordable while n (the region
+    edge count) is in the hundreds. Tolerances: CG stops once ‖r‖² < 1e-10,
+    so each column's residual is below 1e-5 (2e-5 allows the drift between
+    CG's recurrence and the true residual), and its error against the exact
+    solution is at most ‖r‖ / λ_min(A), with λ_min(A) ≥ μ2.
+    """
+    solves = []
+    cg = transfer._conjugate_gradient
+
+    def spy(A, b):
+        solves.append((A, b, cg(A, b)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(transfer, "_conjugate_gradient", spy)
+    labeled = {k: e.pref for k, e in built.edges.items() if e.kind == "T" and e.pref is not None}
+    run_transfer(spark, built, labeled)
+
+    keys = sorted(built.edges)
+    n = len(keys)
+    assert n <= 2000 and labeled
+    pairs = pairwise_similarity(region_edge_features(spark, built), AMR_DEFAULT).toPandas()
+    M = np.zeros((n, n))
+    M[pairs.i.to_numpy(), pairs.j.to_numpy()] = pairs.sim.to_numpy()
+    M = M + M.T
+    L = np.diag(M.sum(axis=1)) - M
+    S = np.diag([1.0 if k in labeled else 0.0 for k in keys])
+    Y = np.array([_one_hot(labeled[k]) if k in labeled else np.zeros(P_FEATURES) for k in keys])
+    A = S + MU1_DEFAULT * L + MU2_DEFAULT * np.eye(n)
+
+    assert len(solves) == P_FEATURES
+    Yhat = np.column_stack([x for _, _, x in solves])
+    for A_used, b, _ in solves:
+        np.testing.assert_allclose(A_used, A, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(np.column_stack([b for _, b, _ in solves]), S @ Y, rtol=0, atol=0)
+    residual = np.linalg.norm(A @ Yhat - S @ Y, axis=0)
+    assert residual.max() < 2e-5
+    lam_min = np.linalg.eigvalsh(A).min()
+    assert lam_min >= MU2_DEFAULT * (1 - 1e-9)
+    error = np.linalg.norm(Yhat - np.linalg.solve(A, S @ Y), axis=0)
+    assert (error <= residual / lam_min + 1e-12).all()
